@@ -65,9 +65,12 @@ let mk ?domains ?note ?(alloc = 0.0) kernel variant size ns_per_op =
     note;
   }
 
+(* [Gc.minor_words] rather than the minor component of [Gc.counters]:
+   on OCaml 5.1 the latter misses words still sitting in the current
+   minor heap, so short kernels read a fraction of their allocation. *)
 let words_now () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+  let _minor, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 (* Best-of-[rounds] wall clock over [ops] iterations of [f]; the
    minimum is the standard noise-robust estimator for single-threaded
@@ -317,34 +320,10 @@ let lp_solve_records ~pairs ~revised_only =
         mk ~alloc:revised_w "lp_solve" "revised" size revised)
       revised_only
 
-(* ---------------- LP engine: eta file vs sparse LU ----------------- *)
-
-(* The same LP_SIMP program through the revised simplex under both
-   basis-factorization engines: the seed's Gauss-Jordan product-form
-   eta file against the Markowitz sparse LU with eta-append updates.
-   Identical pricing and ratio test on both sides, so the pair
-   isolates the factorization (FTRAN/BTRAN cost and rebuild policy);
-   the ~13k-variable shape is where the LU engine's hypersparse
-   triangular solves pay off. *)
-let lp_engine_records ~shapes =
-  let module RS = Svgic_lp.Revised_simplex in
-  List.concat_map
-    (fun shape ->
-      let problem = simp_lp_of shape in
-      let size = Svgic_lp.Problem.num_vars problem in
-      let (eta, eta_w), (lu, lu_w) =
-        time_pair ~rounds:1 ~ops:1
-          (fun () -> ignore (RS.solve ~engine:RS.Eta_file problem))
-          (fun () -> ignore (RS.solve ~engine:RS.Sparse_lu problem))
-      in
-      [
-        mk ~alloc:eta_w "lp_engine" "eta" size eta;
-        mk ~alloc:lu_w "lp_engine" "lu" size lu;
-      ])
-    shapes
+(* ---------------- LP engine: LU refactorization ------------------ *)
 
 (* Characterizes the LU rebuild itself, off the counters of a normal
-   Sparse_lu solve: ns_per_op is factor time per rebuild, and the note
+   solve: ns_per_op is factor time per rebuild, and the note
    carries the fill ratio (factor nonzeros over basis-column nonzeros
    at the last rebuild) and how many pivots/update etas one base
    factorization absorbs before the fill-growth policy asks for the
@@ -355,7 +334,7 @@ let lp_refactor_records ~shapes =
     (fun shape ->
       let problem = simp_lp_of shape in
       let size = Svgic_lp.Problem.num_vars problem in
-      match RS.solve ~engine:RS.Sparse_lu problem with
+      match RS.solve problem with
       | RS.Optimal sol ->
           let s = sol.RS.stats in
           let rebuilds = max 1 s.RS.refactorizations in
@@ -1052,9 +1031,6 @@ let speedups records =
     | "champion" -> Some "naive"
     | "parallel" -> Some "serial"
     | "revised" -> Some "dense"
-    (* lp_engine pairs; the lp_refactor "lu" row has no eta twin and
-       derives no ratio. *)
-    | "lu" -> Some "eta"
     | "sparse" -> Some "dense"
     | "fw" -> Some "exact"
     (* bnb pairs: FW-node tree vs simplex-node tree at matched ILP
@@ -1241,26 +1217,20 @@ let run () =
   in
   let pool_shape = if smoke then (8, 8, 2) else (20, 24, 4) in
   let pool_repeats = if smoke then 2 else 8 in
-  (* The paired shapes range from just above Relaxation's dense_vars
-     ceiling (256) to ~1900 variables: the dense tableau still *solves*
-     all of them, just slowly — which is the point; these rows are what
-     calibrated the ceiling. The revised-only shape (~13k variables) is
-     past exact_vars, i.e. the scale Auto now hands to the Frank-Wolfe
-     engine; its row documents what an exact solve costs there, and the
-     fw_vs_exact rows at the same shape document what the first-order
-     engine trades for that time. *)
+  (* The paired shapes range from ~100 to ~1900 variables. The two
+     smallest (104 and 176 variables) show the revised engine ahead
+     even on tiny programs, which is why the exact path has no
+     dense-tableau window; the dense tableau remains the test oracle,
+     and these pairs record what it costs. The revised-only shape (~13k variables) is past exact_vars,
+     i.e. the scale Auto hands to the Frank-Wolfe engine; its row
+     documents what an exact solve costs there, and the fw_vs_exact
+     rows at the same shape document what the first-order engine
+     trades for that time. *)
   let lp_pairs =
-    if smoke then [ (8, 12) ]
-    else [ (8, 12); (12, 16); (20, 24); (19, 26); (24, 26) ]
+    if smoke then [ (6, 8); (8, 12) ]
+    else [ (6, 8); (8, 8); (8, 12); (12, 16); (20, 24); (19, 26); (24, 26) ]
   in
   let lp_revised_only = if smoke then [] else [ (50, 80) ] in
-  (* The largest pair is the acceptance shape of the LU work: ~13k
-     variables, where the eta file's dense triangular applies dominate
-     the solve. Smoke keeps one tiny pair so CI exercises both engine
-     paths end to end. *)
-  let lp_engine_shapes =
-    if smoke then [ (8, 12) ] else [ (20, 24); (24, 26); (50, 80) ]
-  in
   let lp_refactor_shapes = if smoke then [ (8, 12) ] else [ (24, 26); (50, 80) ] in
   let za_fw_shape = if smoke then (16, 12, 2) else (256, 128, 8) in
   let za_csf_shape = if smoke then (8, 8, 2) else (24, 128, 8) in
@@ -1305,7 +1275,6 @@ let run () =
     @ avg_d_select_records ~sizes:sampler_sizes
     @ avg_d_end_to_end_records ~shapes:avg_d_shapes
     @ lp_solve_records ~pairs:lp_pairs ~revised_only:lp_revised_only
-    @ lp_engine_records ~shapes:lp_engine_shapes
     @ lp_refactor_records ~shapes:lp_refactor_shapes
     @ lp_phase_records ~shapes:lp_phase_shapes
     @ pool_records ~repeats:pool_repeats ~shape:pool_shape

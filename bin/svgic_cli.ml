@@ -98,6 +98,28 @@ let verbose_arg =
            simplex, its pivot count and basis-factorization counters \
            (refactorizations, factor fill, update etas)")
 
+(* Out-of-range sizes are usage errors (exit 124, usage shown), caught
+   before any work instead of surfacing as an uncaught Invalid_argument
+   from Instance or Csf. -n/-m/-k only shape generated instances, so a
+   --load run checks just the cap. *)
+let check_sizes ?load ~n ~m ~k cap =
+  let bad fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  match cap with
+  | Some c when c < 1 -> bad "--cap must be at least 1 (got %d)" c
+  | Some _ | None ->
+      if load <> None then Ok ()
+      else if n < 0 then bad "-n must be non-negative (got %d)" n
+      else if m < 1 then bad "-m must be at least 1 (got %d)" m
+      else if k < 1 || k > m then
+        bad "-k must be between 1 and -m = %d (got %d)" m k
+      else Ok ()
+
+(* Run [f] under [check_sizes], as a [Term.ret] result. *)
+let with_sizes ?load ~n ~m ~k cap f =
+  match check_sizes ?load ~n ~m ~k cap with
+  | Error msg -> `Error (true, msg)
+  | Ok () -> `Ok (f ())
+
 let make_instance ?load preset seed ~n ~m ~k ~lambda =
   match load with
   | Some path -> (
@@ -158,9 +180,8 @@ let warn_degraded relax =
       "note               : degraded solve (deadline or numerical fallback); \
        result is feasible but not certified optimal\n"
 
-(* --verbose: the relaxation's simplex counters, when the revised
-   engine produced the point (the dense tableau, Frank-Wolfe and
-   greedy paths carry none). *)
+(* --verbose: the relaxation's simplex counters, when the exact path
+   produced the point (the Frank-Wolfe and greedy paths carry none). *)
 let report_lp_stats verbose relax =
   if verbose then
     match relax.Svgic.Relaxation.lp_stats with
@@ -244,6 +265,7 @@ let report inst cfg =
 
 let generate_cmd =
   let run preset n m k lambda seed out =
+    with_sizes ~n ~m ~k None @@ fun () ->
     let inst = make_instance preset seed ~n ~m ~k ~lambda in
     Svgic.Serialize.write_file out (Svgic.Serialize.instance_to_string inst);
     Printf.printf "wrote %s-like instance (n=%d m=%d k=%d) to %s\n"
@@ -251,12 +273,14 @@ let generate_cmd =
   in
   Cmd.v (Cmd.info "generate" ~doc:"Sample an instance and write it to a file")
     Term.(
-      const run $ dataset_arg $ n_arg $ m_arg $ k_arg $ lambda_arg $ seed_arg
-      $ out_arg)
+      ret
+        (const run $ dataset_arg $ n_arg $ m_arg $ k_arg $ lambda_arg
+       $ seed_arg $ out_arg))
 
 let solve_cmd =
   let run preset n m k lambda seed method_name cap shards load deadline
       on_fault verbose =
+    with_sizes ?load ~n ~m ~k cap @@ fun () ->
     let inst = make_instance ?load preset seed ~n ~m ~k ~lambda in
     Printf.printf "%s instance: n=%d m=%d k=%d lambda=%.2f\n\n"
       (match load with Some path -> path | None -> Datasets.name preset ^ "-like")
@@ -280,7 +304,7 @@ let solve_cmd =
               oversized
         | None -> ());
         print_newline ();
-        let slots_to_show = min 3 k in
+        let slots_to_show = min 3 (Svgic.Instance.k inst) in
         for s = 0 to slots_to_show - 1 do
           Printf.printf "slot %d subgroups:\n" (s + 1);
           Array.iter
@@ -294,12 +318,14 @@ let solve_cmd =
   in
   Cmd.v (Cmd.info "solve" ~doc:"Solve one instance with a chosen method")
     Term.(
-      const run $ dataset_arg $ n_arg $ m_arg $ k_arg $ lambda_arg $ seed_arg
-      $ method_arg $ cap_arg $ shards_arg $ load_arg $ deadline_arg
-      $ on_fault_arg $ verbose_arg)
+      ret
+        (const run $ dataset_arg $ n_arg $ m_arg $ k_arg $ lambda_arg
+       $ seed_arg $ method_arg $ cap_arg $ shards_arg $ load_arg
+       $ deadline_arg $ on_fault_arg $ verbose_arg))
 
 let compare_cmd =
   let run preset n m k lambda seed cap =
+    with_sizes ~n ~m ~k cap @@ fun () ->
     let inst = make_instance preset seed ~n ~m ~k ~lambda in
     Printf.printf "%s-like instance: n=%d m=%d k=%d lambda=%.2f (seed %d)\n\n"
       (Datasets.name preset) n m k lambda seed;
@@ -319,8 +345,9 @@ let compare_cmd =
   in
   Cmd.v (Cmd.info "compare" ~doc:"Compare all methods on one instance")
     Term.(
-      const run $ dataset_arg $ n_arg $ m_arg $ k_arg $ lambda_arg $ seed_arg
-      $ cap_arg)
+      ret
+        (const run $ dataset_arg $ n_arg $ m_arg $ k_arg $ lambda_arg
+       $ seed_arg $ cap_arg))
 
 (* -------------------------------------------------------------------
    serve: replay a newline-delimited event trace through the online
@@ -522,6 +549,7 @@ let print_fingerprint t =
 let serve_cmd =
   let run preset n m k lambda seed load events shards deadline_ms certify
       domains repair_passes wal checkpoint_every fsync retain fingerprint =
+    with_sizes ?load ~n ~m ~k None @@ fun () ->
     match parse_labelling shards with
     | Error msg ->
         prerr_endline msg;
@@ -555,10 +583,11 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Replay an event trace through the online serving engine")
     Term.(
-      const run $ dataset_arg $ n_arg $ m_arg $ k_arg $ lambda_arg $ seed_arg
-      $ load_arg $ events_arg $ serve_labelling_arg $ deadline_ms_arg
-      $ certify_arg $ domains_arg $ repair_arg $ wal_arg $ checkpoint_every_arg
-      $ fsync_arg $ retain_arg $ fingerprint_arg)
+      ret
+        (const run $ dataset_arg $ n_arg $ m_arg $ k_arg $ lambda_arg
+       $ seed_arg $ load_arg $ events_arg $ serve_labelling_arg
+       $ deadline_ms_arg $ certify_arg $ domains_arg $ repair_arg $ wal_arg
+       $ checkpoint_every_arg $ fsync_arg $ retain_arg $ fingerprint_arg))
 
 (* -------------------------------------------------------------------
    recover: rebuild the engine from the newest valid checkpoint + WAL

@@ -25,4 +25,5 @@ let () =
       ("datagen", Test_datagen.suite);
       ("serve", Test_serve.suite);
       ("durability", Test_durability.suite);
+      ("cli", Test_cli.suite);
     ]

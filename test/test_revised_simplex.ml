@@ -188,31 +188,7 @@ let test_random_cross_check () =
   done;
   Alcotest.(check bool) "at least 100 instances" true (!checked >= 100)
 
-(* ------------------ factorization engines ------------------------- *)
-
-(* The eta-file and LU engines implement the same FTRAN/BTRAN
-   semantics, so every verdict must agree and optimal objectives must
-   match to factorization roundoff across the full random-program
-   matrix (degenerate, bound-tight, duplicate-row seeds included). *)
-let test_engine_agreement () =
-  let optimal = ref 0 in
-  for seed = 0 to 119 do
-    let p, _ = random_problem seed in
-    let eta = Revised.solve ~engine:Revised.Eta_file p in
-    let lu = Revised.solve ~engine:Revised.Sparse_lu p in
-    match (eta, lu) with
-    | Revised.Optimal e, Revised.Optimal l ->
-        incr optimal;
-        if Float.abs (e.objective -. l.objective) > 1e-7 then
-          Alcotest.failf "seed %d: eta %.9f vs lu %.9f" seed e.objective
-            l.objective;
-        if not (Problem.check_feasible ~eps:1e-6 p l.x) then
-          Alcotest.failf "seed %d: lu solution infeasible" seed
-    | Revised.Infeasible, Revised.Infeasible
-    | Revised.Unbounded, Revised.Unbounded -> ()
-    | _ -> Alcotest.failf "seed %d: engine status disagreement" seed
-  done;
-  Alcotest.(check bool) "at least 100 optimal programs" true (!optimal >= 100)
+(* ------------------ factorization updates ------------------------ *)
 
 (* Eta-append updates against the testing anchor: a fresh
    factorization after every pivot. Any drift between the updated
@@ -222,8 +198,8 @@ let test_lu_updates_equal_fresh_factorization () =
   let optimal = ref 0 in
   for seed = 0 to 119 do
     let p, _ = random_problem seed in
-    let updated = Revised.solve ~engine:Revised.Sparse_lu p in
-    let fresh = Revised.solve ~engine:Revised.Sparse_lu ~refactor_every:1 p in
+    let updated = Revised.solve p in
+    let fresh = Revised.solve ~refactor_every:1 p in
     match (updated, fresh) with
     | Revised.Optimal u, Revised.Optimal f ->
         incr optimal;
@@ -359,7 +335,39 @@ let test_warm_equals_cold () =
         | Revised.Infeasible, Revised.Infeasible -> ()
         | Revised.Unbounded, Revised.Unbounded -> ()
         | _ -> Alcotest.failf "seed %d: warm/cold status disagreement" seed)
-  done
+  done;
+  (* Small programs run on the same engine as large ones, so a
+     Relaxation solve far below 256 LP variables still hands back a
+     basis (what Dynamic.resolve, Seo.replan and Serve warm start from)
+     and re-solving warm from it reproduces the cold solve exactly. *)
+  let inst =
+    Svgic_data.Datasets.make Svgic_data.Datasets.Timik (Rng.create 77) ~n:6
+      ~m:8 ~k:2 ~lambda:0.5
+  in
+  let vars =
+    (Svgic.Instance.n inst + Array.length (Svgic.Instance.pairs inst))
+    * Svgic.Instance.m inst
+  in
+  Alcotest.(check bool) "small LP_SIMP (< 256 vars)" true (vars < 256);
+  let cold = Svgic.Relaxation.solve inst in
+  match (cold.Svgic.Relaxation.basis, cold.Svgic.Relaxation.lp_stats) with
+  | None, _ -> Alcotest.fail "small exact solve returned no basis"
+  | _, None -> Alcotest.fail "small exact solve returned no lp_stats"
+  | Some basis, Some _ ->
+      let warm = Svgic.Relaxation.solve ~warm:basis inst in
+      Alcotest.(check bool) "warm objective bit-identical" true
+        (Int64.bits_of_float warm.Svgic.Relaxation.scaled_objective
+        = Int64.bits_of_float cold.Svgic.Relaxation.scaled_objective);
+      Array.iteri
+        (fun u row ->
+          Array.iteri
+            (fun c v ->
+              if
+                Int64.bits_of_float v
+                <> Int64.bits_of_float cold.Svgic.Relaxation.xbar.(u).(c)
+              then Alcotest.failf "warm xbar.(%d).(%d) differs from cold" u c)
+            row)
+        warm.Svgic.Relaxation.xbar
 
 let test_warm_shape_mismatch_falls_back () =
   let p, _ = random_problem 2 in
@@ -558,7 +566,7 @@ let test_choose_backend_budget () =
      the same instance back onto the exact path. *)
   let saved = Svgic.Relaxation.backend_budget () in
   Svgic.Relaxation.set_backend_budget
-    { Svgic.Relaxation.exact_vars = 100_000; exact_nnz = 600_000; dense_vars = 1_500 };
+    { Svgic.Relaxation.exact_vars = 100_000; exact_nnz = 600_000 };
   (match Svgic.Relaxation.choose_backend big with
   | Svgic.Relaxation.Exact_simplex -> ()
   | _ -> Alcotest.fail "grown budget should select the exact path");
@@ -601,8 +609,6 @@ let suite =
     Alcotest.test_case "revised degenerate" `Quick test_degenerate;
     Alcotest.test_case "revised vs dense oracle (120 seeds)" `Quick
       test_random_cross_check;
-    Alcotest.test_case "eta vs lu engine agreement (120 seeds)" `Quick
-      test_engine_agreement;
     Alcotest.test_case "lu updates = fresh factorization (120 seeds)" `Quick
       test_lu_updates_equal_fresh_factorization;
     Alcotest.test_case "lu stats sanity + lp_stats surfacing" `Quick
