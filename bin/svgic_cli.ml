@@ -34,11 +34,14 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"random seed")
 let cap_arg =
   Arg.(value & opt (some int) None & info [ "cap" ] ~doc:"SVGIC-ST subgroup size cap M")
 
+(* An enum, so an unknown name is a usage error (exit 124) caught
+   before the instance is built or anything is printed. *)
 let method_arg =
+  let methods = [ "avg"; "avg-d"; "per"; "fmg"; "sdp"; "grf"; "ip" ] in
   Arg.(
     value
-    & opt string "avg"
-    & info [ "method" ] ~doc:"avg | avg-d | per | fmg | sdp | grf | ip")
+    & opt (enum (List.map (fun name -> (name, name)) methods)) "avg"
+    & info [ "method" ] ~doc:(String.concat " | " methods))
 
 let shards_arg =
   Arg.(

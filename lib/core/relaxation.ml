@@ -70,14 +70,15 @@ type t = {
 }
 
 (* LP_SIMP shape without building the program: (n + np) * m variables,
-   n + 2 * np * m rows, and n * m + 4 * np * m matrix nonzeros. *)
+   n + np * m rows, and n * m + 3 * np * m matrix nonzeros (one
+   co-display row per pair and item, see [Lp_build.simp_lp]). *)
 let lp_simp_shape inst =
   let n = Instance.n inst
   and m = Instance.m inst
   and np = Instance.num_pairs inst in
   let vars = (n + np) * m in
-  let rows = n + (2 * np * m) in
-  let nnz = (n * m) + (4 * np * m) in
+  let rows = n + (np * m) in
+  let nnz = (n * m) + (3 * np * m) in
   (vars, rows, nnz)
 
 (* Default stopping tolerance for the Auto Frank-Wolfe path: per-user
@@ -127,12 +128,22 @@ let solve_exact ?warm ?token ~what problem =
         false )
   | Revised.Timeout _ -> raise Deadline_exhausted
 
+(* A warm basis is used only when it has the program's column count
+   (structurals + logicals); anything else — no basis, or one saved
+   for another shape — starts from the crash basis, which is primal
+   feasible, so a cold solve runs no phase 1. *)
 let solve_simplex ?warm ?token inst =
   let problem, x_var = Lp_build.simp_lp inst in
+  let columns = Svgic_lp.Problem.num_vars problem + Svgic_lp.Problem.num_rows problem in
+  let warm =
+    match warm with
+    | Some b when Array.length (Revised.vbasis_entries b) = columns -> b
+    | Some _ | None -> Lp_build.simp_crash_basis inst
+  in
   (* The uniform point k/m is always feasible, so infeasibility here is
      a solver bug, not an input condition. *)
   let x, objective, basis, lp_stats, complete =
-    solve_exact ?warm ?token ~what:"LP_SIMP" problem
+    solve_exact ~warm ?token ~what:"LP_SIMP" problem
   in
   let n = Instance.n inst and m = Instance.m inst in
   let xbar = Array.init n (fun u -> Array.init m (fun c -> x.(x_var u c))) in
@@ -311,7 +322,10 @@ let solve_integer_simplex ?time_budget_s ?node_budget ?token inst =
       node_budget;
     }
   in
-  let r = Svgic_lp.Branch_bound.solve ~options problem ~binary in
+  let r =
+    Svgic_lp.Branch_bound.solve ~options
+      ~root_basis:(Lp_build.simp_crash_basis inst) problem ~binary
+  in
   let xint =
     Option.map
       (fun x -> Array.init n (fun u -> Array.init m (fun c -> x.(x_var u c))))

@@ -34,12 +34,23 @@ type budget = {
     32k nonzeros — up from ~6.5k / 20k under the product-form eta
     engine. Defaults: [exact_vars = 9_500], [exact_nnz = 32_000].
     Instances beyond the envelope route to the Frank–Wolfe engine, which reports its
-    achieved gap in {!t.fw_gap}. *)
+    achieved gap in {!t.fw_gap}. The defaults predate the one-row
+    [LP_SIMP] and its crash start ({!Lp_build.simp_lp}) and are kept:
+    the variable count is unchanged and every program under them now
+    has fewer rows and nonzeros and skips phase 1, so it solves faster
+    than the envelope was calibrated for. [exact_nnz] now admits
+    programs with more friend pairs than before, since a pair costs
+    [3·m] nonzeros instead of [4·m]. *)
 
 val backend_budget : unit -> budget
 val set_backend_budget : budget -> unit
 (** Global configuration read by {!choose_backend}; replaces the old
     hard-coded 1500-variable ceiling. *)
+
+val lp_simp_shape : Instance.t -> int * int * int
+(** [(variables, rows, nonzeros)] of {!Lp_build.simp_lp} without
+    building it: [(n + np)·m], [n + np·m] and [n·m + 3·np·m] for [np]
+    friend pairs. *)
 
 val choose_backend : Instance.t -> backend
 (** The backend [Auto] resolves to, from the instance's [LP_SIMP]
@@ -107,9 +118,13 @@ val solve :
 (** Solves [LP_SIMP] (with the advanced LP transformation). Default
     backend [Auto]. [warm] re-starts the revised simplex from a basis
     returned by an earlier solve of a same-shaped instance (same [n],
-    [m] and friend pairs — e.g. a re-solve after utility drift); a
-    mismatched basis is ignored, so passing a stale one is safe. Every
-    exact solve returns a reusable [basis], whatever the program size.
+    [m] and friend pairs — e.g. a re-solve after utility drift). A
+    basis of another column count (including one saved before
+    [LP_SIMP] had one co-display row per pair and item) is ignored, so
+    passing a stale one is safe. Without a usable [warm] the exact
+    solve starts from {!Lp_build.simp_crash_basis}, which is primal
+    feasible, so no phase 1 runs. Every exact solve returns a reusable
+    [basis], whatever the program size.
 
     [token] supervises the solve (DESIGN.md §5 "Failure handling"):
     it is threaded into the simplex pivot loop / Frank–Wolfe sweep

@@ -105,7 +105,7 @@ let pick_branch_var options problem x binary =
     binary;
   !best
 
-let solve ?(options = default_options) base ~binary =
+let solve ?(options = default_options) ?root_basis base ~binary =
   (match options.engine with
   | Simplex -> ()
   | Frank_wolfe _ ->
@@ -165,7 +165,7 @@ let solve ?(options = default_options) base ~binary =
     | Some (b, _) -> Float.max from_stack b
     | None -> from_stack
   in
-  push { fixings = []; parent_bound = infinity; parent_basis = None };
+  push { fixings = []; parent_bound = infinity; parent_basis = root_basis };
   let nodes = ref 0 in
   let pivots = ref 0 in
   let refactors = ref 0 in

@@ -82,10 +82,19 @@ type result = {
   proved_optimal : bool;
 }
 
-val solve : ?options:options -> Problem.t -> binary:int array -> result
+val solve :
+  ?options:options ->
+  ?root_basis:Revised_simplex.vbasis ->
+  Problem.t ->
+  binary:int array ->
+  result
 (** [solve p ~binary] maximizes [p] with the variables listed in
     [binary] restricted to {0,1}. Binary variables must carry an upper
-    bound of at most 1. Raises [Invalid_argument] when
+    bound of at most 1. With [options.warm_start], [root_basis] starts
+    the root relaxation the way a parent basis starts a child (e.g. a
+    primal-feasible crash basis built by the program's owner); a basis
+    of the wrong shape falls back to the all-logical start, as in
+    {!Revised_simplex.solve}. Raises [Invalid_argument] when
     [options.engine] is [Frank_wolfe] — that engine solves
     [Pairwise_fw] programs through {!solve_fw}. *)
 

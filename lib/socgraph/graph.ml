@@ -269,22 +269,35 @@ let ego g ~center ~hops =
   Hashtbl.fold (fun v _ acc -> v :: acc) dist []
   |> List.sort compare |> Array.of_list
 
+(* Walks only the members' out-rows, so the cost is O(|vs| + their
+   out-degrees) whatever the size of [g]. A vertex listed twice is
+   represented by its last position (earlier copies stay isolated),
+   and [of_edge_arrays] sorts and dedups, so the walk order does not
+   show in the result. *)
 let subgraph g vs =
   let mapping = Array.copy vs in
   let index = Hashtbl.create (Array.length vs) in
   Array.iteri (fun i v -> Hashtbl.replace index v i) mapping;
-  let count = ref 0 in
-  iteri_edges g (fun _ u v ->
-      if Hashtbl.mem index u && Hashtbl.mem index v then incr count);
-  let eu = Array.make !count 0 and ev = Array.make !count 0 in
+  let owns i u = u >= 0 && u < g.size && Hashtbl.find index u = i in
+  let cap = ref 0 in
+  Array.iteri
+    (fun i u -> if owns i u then cap := !cap + g.out_off.(u + 1) - g.out_off.(u))
+    mapping;
+  let eu = Array.make !cap 0 and ev = Array.make !cap 0 in
   let w = ref 0 in
-  iteri_edges g (fun _ u v ->
-      match (Hashtbl.find_opt index u, Hashtbl.find_opt index v) with
-      | Some iu, Some iv ->
-          eu.(!w) <- iu;
-          ev.(!w) <- iv;
-          incr w
-      | (Some _ | None), _ -> ());
+  Array.iteri
+    (fun i u ->
+      if owns i u then
+        for e = g.out_off.(u) to g.out_off.(u + 1) - 1 do
+          match Hashtbl.find_opt index g.out_dst.(e) with
+          | Some iv ->
+              eu.(!w) <- i;
+              ev.(!w) <- iv;
+              incr w
+          | None -> ()
+        done)
+    mapping;
+  let eu = Array.sub eu 0 !w and ev = Array.sub ev 0 !w in
   (of_edge_arrays ~n:(Array.length vs) eu ev, mapping)
 
 let connected_components g =

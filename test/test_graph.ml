@@ -205,6 +205,41 @@ let qcheck_props =
           (Graph.edges sub));
   ]
 
+(* Oracle for [Graph.subgraph]: a filter over every edge of the whole
+   graph (the cost the library version avoids), with the same
+   last-occurrence rule for a vertex listed twice. *)
+let subgraph_by_filter g vs =
+  let index = Hashtbl.create (Array.length vs) in
+  Array.iteri (fun i v -> Hashtbl.replace index v i) vs;
+  let kept = ref [] in
+  Graph.iteri_edges g (fun _ u v ->
+      match (Hashtbl.find_opt index u, Hashtbl.find_opt index v) with
+      | Some iu, Some iv -> kept := (iu, iv) :: !kept
+      | (Some _ | None), _ -> ());
+  Graph.of_edges ~n:(Array.length vs) !kept
+
+(* Random graphs with unsorted member lists, duplicates included. *)
+let test_subgraph_vs_filter () =
+  for seed = 0 to 59 do
+    let rng = Rng.create (900 + seed) in
+    let n = 2 + Rng.int rng 40 in
+    let g =
+      Generate.erdos_renyi ~reciprocal:(seed mod 2 = 0) rng ~n
+        ~p:(0.02 +. Rng.float rng 0.3)
+    in
+    let size = Rng.int rng (n + 4) in
+    let vs = Array.init size (fun _ -> Rng.int rng n) in
+    let sub, mapping = Graph.subgraph g vs in
+    let oracle = subgraph_by_filter g vs in
+    let what = Printf.sprintf "seed %d" seed in
+    Alcotest.(check (array int)) (what ^ ": mapping") vs mapping;
+    Alcotest.(check int) (what ^ ": n") (Graph.n oracle) (Graph.n sub);
+    Alcotest.(check (array (pair int int))) (what ^ ": edges") (Graph.edges oracle)
+      (Graph.edges sub);
+    Alcotest.(check (array (pair int int))) (what ^ ": pairs") (Graph.pairs oracle)
+      (Graph.pairs sub)
+  done
+
 let suite =
   [
     Alcotest.test_case "of_edges basics" `Quick test_of_edges_basics;
@@ -212,6 +247,8 @@ let suite =
     Alcotest.test_case "density" `Quick test_density;
     Alcotest.test_case "induced density" `Quick test_induced_density;
     Alcotest.test_case "ego + subgraph" `Quick test_ego_and_subgraph;
+    Alcotest.test_case "subgraph = filter over all edges (60 seeds)" `Quick
+      test_subgraph_vs_filter;
     Alcotest.test_case "connected components" `Quick test_connected_components;
     Alcotest.test_case "erdos-renyi" `Quick test_erdos_renyi;
     Alcotest.test_case "erdos-renyi directed" `Quick test_erdos_renyi_directed;
