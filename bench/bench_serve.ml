@@ -415,6 +415,60 @@ let wal_records ~smoke srv tr ~append_ns ~fsync_ns =
          (100.0 *. every_tick_overhead));
   rows
 
+(* ---------------- checkpoint write / load ------------------------- *)
+
+(* The checkpoint layer alone, on the live served state: the write
+   (encode each section, fsync, rename, directory fsync) and the load
+   (per-frame CRC, decode, Instance.validate, range checks). The file
+   carries the arenas raw plus per-user tables, so it is hard-held to
+   <= 1.25x the instance's arena bytes. Writing a checkpoint does not
+   move the engine's state, so the row can run anywhere in the
+   sequence. *)
+let checkpoint_records ~smoke srv =
+  let dir = fresh_dir "checkpoint" in
+  Serve.enable_durability srv
+    {
+      Serve.dir;
+      fsync = Svgic.Wal.Off;
+      checkpoint_every = 1_000_000;
+      retain = 1;
+    };
+  let rounds = if smoke then 3 else 5 in
+  let path = ref "" in
+  let write_ns, write_w =
+    Bench_kernels.time_kernel ~rounds ~ops:1 (fun () ->
+        path := Serve.checkpoint srv)
+  in
+  Serve.disable_durability srv;
+  let inst = Serve.instance srv in
+  let bytes = (Unix.stat !path).Unix.st_size in
+  let arena = Instance.arena_bytes inst in
+  let ratio = float_of_int bytes /. float_of_int arena in
+  Printf.printf "  checkpoint: %d bytes = %.2fx arena (%d bytes)\n%!" bytes
+    ratio arena;
+  if ratio > 1.25 then
+    failwith
+      (Printf.sprintf "serve_checkpoint: %d bytes is %.2fx arena_bytes (> 1.25x)"
+         bytes ratio);
+  let load_ns, load_w =
+    Bench_kernels.time_kernel ~rounds ~ops:1 (fun () ->
+        match Svgic.Checkpoint.load !path with
+        | Ok _ -> ()
+        | Error e -> failwith ("serve_checkpoint: load: " ^ e))
+  in
+  let note what =
+    Printf.sprintf "%s; %d bytes = %.2fx arena_bytes %d" what bytes ratio arena
+  in
+  let n = Instance.n inst in
+  [
+    Bench_kernels.mk ~alloc:write_w
+      ~note:(note "encode + fsync + rename")
+      "serve_checkpoint" "write" n write_ns;
+    Bench_kernels.mk ~alloc:load_w
+      ~note:(note "CRC + decode + validate")
+      "serve_checkpoint" "load" n load_ns;
+  ]
+
 (* ---------------- crash recovery vs cold start -------------------- *)
 
 (* Checkpoint + WAL-suffix recovery against what a stateless redeploy
@@ -480,9 +534,11 @@ let run () =
   let smoke = Bench_kernels.smoke () in
   let inst, labels, tr, srv, cold_ns, serve_rows = serve_records ~smoke in
   let append_ns, fsync_ns, append_rows = wal_append_records () in
+  let checkpoint_rows = checkpoint_records ~smoke srv in
   let records =
     serve_rows @ coalesce_records srv tr @ append_rows
     @ wal_records ~smoke srv tr ~append_ns ~fsync_ns
+    @ checkpoint_rows
     @ recover_records ~smoke ~cold_ns srv tr
     @ deadline_records ~smoke inst labels tr
   in

@@ -394,7 +394,8 @@ let domains_arg =
     & info [ "domains" ]
         ~doc:
           "Solver fan-out cap for touched shards. Replay is bit-identical \
-           for every value (per-tick Rng.split_n streams, reduce by index).")
+           for every value (each shard's stream derives from the session \
+           seed, tick and shard; results reduce by index).")
 
 let repair_arg =
   Arg.(

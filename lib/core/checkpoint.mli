@@ -1,25 +1,33 @@
-(** Checkpointed {!Serve} solve state.
+(** Checkpointed {!Serve} solve state: one binary file holding
+    everything an engine needs to resume — instance arenas, incumbent
+    rows, labels, per-shard solve state, external ids, bracket terms,
+    the session seed (no RNG state: {!Serve} derives each tick's
+    streams from it) and the seqno of the last WAL record reflected.
 
-    A checkpoint is a single self-describing text file holding
-    everything a serving engine needs to resume: the arena-backed
-    instance (embedded via the streaming {!Serialize} writer), the
-    incumbent assignment rows, partition labels, per-shard solve state
-    (objective / certified upper bound / warm-basis entries), the
-    external-id map, the bracket terms, the RNG cursor, and the seqno
-    of the last WAL record the state reflects.
+    {2 Format (version 2)} A magic line [svgic-checkpoint 2], then
+    eight {!Svgic_util.Codec} frames (the WAL's framing), in order:
+    {ol
+    {- meta: tick, WAL seqno, events, next external id, seed (i64);
+       n, m, k, directed edges, shards (u32); λ, cut mass, objective,
+       bound, upper (f64)}
+    {- graph: edge sources, then edge targets (u32), arena order}
+    {- pref: the n×m arena; tau: the edges×m arena (f64)}
+    {- assign: n×k items; label: n shard ids; ext_of: n external ids
+       (u32 each, one frame each)}
+    {- shards: per shard objective, upper (f64), flags (u8: bit 0
+       degraded, bit 1 freshened), warm_n, warm_pairs, warm length or
+       -1 (i64), then one u8 status in {0,1,2} per warm entry}}
+    Floats are IEEE-754 bits, so everything round-trips bit-exactly;
+    the file is about 0.7x {!Instance.arena_bytes}. Files of another
+    version (earlier builds wrote text, version 1) are refused with an
+    [Error] naming it.
 
-    Floats that must survive bit-exactly (objectives, bounds, cut
-    mass) travel as hex float literals ([%h]); the instance arenas go
-    through [Serialize]'s [%.17g], which also round-trips exactly.
-    The file starts with a magic header and ends with a CRC-32 footer
-    over every preceding byte, and {!write} goes through a temp file +
-    [fsync] + atomic rename, so a crash mid-checkpoint can never
-    replace a good checkpoint with a torn one.
-
-    Fault sites (both indexed by the WAL seqno): ["checkpoint_write"]
-    crashes mid-write leaving a partial temp file, and
-    ["checkpoint_rename"] crashes after the temp file is complete but
-    before it is renamed into place. *)
+    {!write} encodes one section at a time into a reused buffer and
+    goes temp file + [fsync] + atomic rename + directory [fsync], so a
+    crash mid-checkpoint never replaces a good checkpoint with a torn
+    one. Fault sites (indexed by the WAL seqno): ["checkpoint_write"]
+    leaves a partial temp file, ["checkpoint_rename"] a complete temp
+    file never renamed into place. *)
 
 type shard_snap = {
   s_obj : float;
@@ -48,7 +56,7 @@ type snapshot = {
   objective_v : float;
   bound_v : float;
   upper_v : float;
-  rng_blob : string;  (** marshalled RNG state, opaque bytes *)
+  seed : int;  (** session seed the per-tick RNG streams derive from *)
 }
 
 val ensure_dir : string -> unit
@@ -67,10 +75,13 @@ val list_files : string -> (string * int * int64) list
     first. Ignores foreign and temp files; [] for a missing dir. *)
 
 val load : string -> (snapshot, string) result
-(** Parse and fully validate one checkpoint file: magic, footer CRC,
-    [Instance.validate] on the embedded instance, shape and range
-    checks on every section (assignment rows within [0,m), labels
-    within the shard table, finite bracket terms). No partially
+(** Decode and fully validate one checkpoint file: the magic line and
+    version, each frame's length and CRC (verified before the frame is
+    decoded), [Instance.validate] on the instance, and shape and range
+    checks on every section (edges in arena order, assignment rows
+    within [0,m), labels within the shard table, unique external ids
+    below [next_ext], finite bracket terms, warm statuses in
+    {0,1,2}). Never raises on malformed input, and no partially
     validated snapshot ever escapes. *)
 
 val load_latest :

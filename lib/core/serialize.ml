@@ -107,10 +107,7 @@ let fill_floats dst off count toks =
   !seen
 
 let parse_instance src =
-  let err msg =
-    let p = src.pos () in
-    if p < 0 then Error msg else Error (Printf.sprintf "byte %d: %s" p msg)
-  in
+  let err msg = Error (Printf.sprintf "byte %d: %s" (src.pos ()) msg) in
   let next = src.next in
   match next () with
   | Some header when String.trim header = "svgic-instance 1" -> (
@@ -250,10 +247,6 @@ let parse_instance src =
 
 let instance_of_string text =
   parse_instance (source_of_lines (String.split_on_char '\n' text))
-
-let instance_of_source ?pos next =
-  parse_instance
-    { next; pos = (match pos with Some p -> p | None -> fun () -> -1) }
 
 let load_instance path =
   let ic = open_in path in

@@ -19,22 +19,6 @@ val instance_of_string : string -> (Instance.t, string) result
     ([byte N: ...]) and every decoded instance passes
     [Instance.validate] before it is returned. *)
 
-val instance_of_source :
-  ?pos:(unit -> int) -> (unit -> string option) -> (Instance.t, string) result
-(** Parse an instance from a pull-based line source, consuming exactly
-    the lines of the embedded instance block (header through the last
-    edge row) and nothing after it — {!Svgic.Checkpoint} embeds
-    instance text inside a larger file this way. The source must
-    yield non-empty lines (the caller filters blanks). [pos], when
-    given, reports the byte offset of the start of the line most
-    recently returned, for [byte N: ...] error messages. *)
-
-val emit_instance : (string -> unit) -> Instance.t -> unit
-(** Stream the instance text through [emit], one line at a time —
-    the building block behind {!write_instance} and the embedded
-    instance block of {!Svgic.Checkpoint} (whose writer threads every
-    emitted string through a running CRC). *)
-
 val write_instance : out_channel -> Instance.t -> unit
 (** Streams the instance to the channel one line at a time, straight
     from the flat arenas — the writer's live state never exceeds a

@@ -69,7 +69,7 @@ type t = {
   mutable cut_evu : int array;
   mutable cut_mass : float;
   mutable scratch : bool array;  (** per-shard touched marks, reused *)
-  rng : Rng.t;
+  seed : int;  (** per-tick RNG streams derive from (seed, tick, shard) *)
   rounding : Shard.rounding;
   deadline_s : float option;
   certify : bool;
@@ -598,7 +598,7 @@ let apply_structural t ~applied ~dropped =
    (warm_hit, degraded). Runs inside the [Pool] fan-out: it only
    mutates its own [shard_state] and its own members' rows, and only
    reads shared state that is frozen during the fan-out. *)
-let solve_shard t token rng sid =
+let solve_shard t token sid =
   let sh = t.shards.(sid) in
   let k = Instance.k t.inst in
   let sub, mapping = Instance.restrict_users t.inst sh.members in
@@ -681,7 +681,8 @@ let solve_shard t token rng sid =
         let cfg =
           match t.rounding with
           | Shard.Avg { repeats; advanced_sampling } ->
-              Algorithms.avg_best_of ~advanced_sampling ~domains:1 ~repeats rng
+              Algorithms.avg_best_of ~advanced_sampling ~domains:1 ~repeats
+                (Random.State.make [| t.seed; t.tick_no; sid |])
                 sub relax
           | Shard.Avg_d { r } -> Algorithms.avg_d ?r ~domains:1 sub relax
         in
@@ -743,12 +744,12 @@ let finish_tick t ~t0 ~token ~seen ~applied ~dropped ~structural ~repair_extra
   done;
   let touched_ids = Array.of_list !tl in
   let ntouch = Array.length touched_ids in
-  (* Per-shard streams derived serially before the fan-out, results
-     reduced by index: bit-identical for every [domains] value. *)
-  let streams = Rng.split_n t.rng ntouch in
+  (* Each shard's stream is a pure function of (seed, tick, shard) and
+     results reduce by index: bit-identical for every [domains] value,
+     and nothing to persist. *)
   let results =
     Pool.parallel_map ?domains:t.domains ntouch (fun i ->
-        solve_shard t token streams.(i) touched_ids.(i))
+        solve_shard t token touched_ids.(i))
   in
   let warm_hits = ref 0 and degraded = ref 0 in
   Array.iter
@@ -851,7 +852,7 @@ let snapshot_of t ~wal_seqno =
     objective_v = t.objective_v;
     bound_v = t.bound_v;
     upper_v = t.upper_v;
-    rng_blob = Marshal.to_string t.rng [];
+    seed = t.seed;
   }
 
 (* Periodic checkpoint at the end of a tick.  A failed checkpoint is
@@ -943,6 +944,7 @@ let create ?(labelling = Shard.Components)
   let inst = Instance.materialize inst0 in
   let t0 = Mclock.now_s () in
   let part = Shard.partition ~rng:(Rng.split rng) ~labelling inst in
+  let seed = Random.State.bits rng in
   let n = Instance.n inst and k = Instance.k inst in
   let label = Array.make n 0 in
   Array.iteri
@@ -982,7 +984,7 @@ let create ?(labelling = Shard.Components)
       cut_evu = [||];
       cut_mass = 0.0;
       scratch = Array.make (Array.length shards) false;
-      rng;
+      seed;
       rounding;
       deadline_s;
       certify;
@@ -1083,7 +1085,7 @@ let checkpoint t =
 
 (* Rebuild a live engine from a validated snapshot.  Mirror image of
    [snapshot_of]: everything bit-carried (objectives, bounds, cut
-   mass, RNG cursor) is restored verbatim; only the structural cut
+   mass, session seed) is restored verbatim; only the structural cut
    tables and the ext->internal map are derived. *)
 let restore ?(rounding = Shard.Avg_d { r = None }) ?deadline_s
     ?(certify = false) ?domains ?(repair_passes = 2)
@@ -1119,10 +1121,6 @@ let restore ?(rounding = Shard.Avg_d { r = None }) ?deadline_s
         })
       snap.Checkpoint.shards
   in
-  let rng : Rng.t =
-    try Marshal.from_string snap.Checkpoint.rng_blob 0
-    with Failure _ -> invalid_arg "Serve.restore: corrupt rng blob"
-  in
   let t =
     {
       inst;
@@ -1142,7 +1140,7 @@ let restore ?(rounding = Shard.Avg_d { r = None }) ?deadline_s
       cut_evu = [||];
       cut_mass = 0.0;
       scratch = Array.make (max 1 nshards) false;
-      rng;
+      seed = snap.Checkpoint.seed;
       rounding;
       deadline_s;
       certify;
@@ -1396,11 +1394,10 @@ let recover ?rounding ?deadline_s ?certify ?domains ?repair_passes
 (* ---- fingerprint ------------------------------------------------- *)
 
 (* CRC-32 over every bit of observable solve state: dimensions, the
-   incumbent rows, labels, external ids, counters, the bracket terms
-   and both arenas.  Two engines with equal fingerprints serve
-   identical configurations and will evolve identically under the
-   same future event stream (modulo RNG state, which the checkpoint
-   carries separately). *)
+   incumbent rows, labels, external ids, counters, the session seed,
+   the bracket terms and both arenas.  Two engines with equal
+   fingerprints serve identical configurations and will evolve
+   identically under the same future event stream. *)
 let fingerprint t =
   let module Crc32 = Svgic_util.Crc32 in
   let buf = Bytes.create 8 in
@@ -1421,6 +1418,7 @@ let fingerprint t =
   add_i t.next_ext;
   add_i t.tick_no;
   add_i t.events_total;
+  add_i t.seed;
   Array.iter (fun row -> Array.iter add_i row) t.assign;
   Array.iter add_i t.label;
   Array.iter add_i t.ext_of;

@@ -98,9 +98,12 @@ val create :
     [deadline_s] is the per-tick latency budget; absent, ticks run to
     completion. [rounding] defaults to deterministic AVG-D;
     [repair_passes] (default 2) bounds the per-tick cut-repair sweeps.
-    [rng] is adopted as the session's stream: each tick derives
-    per-shard child streams via [Rng.split_n], so a trace replayed
-    from the same seed is bit-identical for every [domains] value. *)
+    [rng] is read, not adopted: the partition takes one split of it
+    and the session takes one draw, its [seed]. Each tick's per-shard
+    stream (used by [Avg] rounding only) is a pure function of
+    [(seed, tick, shard)], so a trace replayed from the same seed is
+    bit-identical for every [domains] value, and a checkpoint need not
+    carry any RNG state. *)
 
 val submit : t -> event -> int option
 (** Queues an event for the next {!tick}; [Some ext] (the minted
@@ -200,7 +203,7 @@ val restore :
   Checkpoint.snapshot ->
   t
 (** Rebuild an engine from a validated snapshot, durability detached.
-    Bit-carried state (objectives, bounds, cut mass, RNG cursor,
+    Bit-carried state (objectives, bounds, cut mass, session seed,
     warm bases) is restored verbatim; the cut tables and the
     ext→internal map are re-derived. The solver knobs are not part of
     the snapshot and must be re-supplied (defaults as {!create}). *)
@@ -268,10 +271,12 @@ val audit : ?repair:bool -> ?tol:float -> t -> audit_report
 
 val fingerprint : t -> int
 (** CRC-32 over every bit of observable solve state (dimensions,
-    incumbent rows, labels, external ids, counters, bracket terms,
-    both arenas). Equal fingerprints ⇒ the engines serve identical
-    configurations; the kill-matrix test compares a recovered engine
-    against an uninterrupted run with this. *)
+    incumbent rows, labels, external ids, counters, the session seed,
+    bracket terms, both arenas). Equal fingerprints ⇒ the engines
+    serve identical configurations and, the seed included, evolve
+    identically under the same future events; the kill-matrix test
+    compares a recovered engine against an uninterrupted run with
+    this. *)
 
 val user_ids : t -> int array
 (** External ids in internal order (entry [i] belongs to instance

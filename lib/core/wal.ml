@@ -1,11 +1,10 @@
-(* Write-ahead log: one text header line, then length-prefixed
-   CRC32-guarded binary records.  See the .mli for the format.  The
-   writer encodes into a reusable scratch buffer so steady-state
-   appends allocate only a few boxed words (seqno / float-bits
-   Int64s). *)
+(* Write-ahead log: one text header line, then {!Codec} frames.  See
+   the .mli for the format.  The writer encodes into a reusable
+   scratch buffer so steady-state appends allocate only a few boxed
+   words (seqno / float-bits Int64s). *)
 
-module Crc32 = Svgic_util.Crc32
 module Fault = Svgic_util.Fault
+open Svgic_util.Codec
 
 type fsync_policy = Every_event | Every_tick | Off
 
@@ -21,15 +20,6 @@ type event =
   | Tau of { u : int; v : int; item : int; value : float }
 
 type record = Event of event | Tick of int
-
-(* ---- little-endian accessors (u32 values masked non-negative) ---- *)
-
-let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
-let put_u64 b off v = Bytes.set_int64_le b off v
-let put_f b off v = Bytes.set_int64_le b off (Int64.bits_of_float v)
-let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
-let get_u64 b off = Bytes.get_int64_le b off
-let get_f b off = Int64.float_of_bits (Bytes.get_int64_le b off)
 
 (* ---- writer ------------------------------------------------------ *)
 
@@ -83,14 +73,12 @@ let body_size m = function
       13 + (8 * Array.length j.jpref) + 4
       + (Array.length j.jfriends * (4 + (16 * m)))
 
-let ensure w n =
-  if Bytes.length w.scratch < n then
-    w.scratch <- Bytes.create (max n (2 * Bytes.length w.scratch))
-
 let append w r =
-  let seq = Int64.add w.seqno 1L in
+  (* boxed once: the codec call, the field store and the result all
+     share this one Int64 *)
+  let seq = Sys.opaque_identity (Int64.add w.seqno 1L) in
   let bl = body_size w.m r in
-  ensure w (8 + bl);
+  w.scratch <- grow w.scratch (8 + bl);
   let b = w.scratch in
   put_u64 b 8 seq;
   (match r with
@@ -136,8 +124,7 @@ let append w r =
           done)
         j.jfriends;
       assert (!off = 8 + bl));
-  put_u32 b 0 bl;
-  put_u32 b 4 (Crc32.update_bytes 0 b ~pos:8 ~len:bl);
+  seal b ~len:bl;
   (match Fault.at ~site:"wal_append"
            ~index:(Int64.to_int seq land max_int) with
   | Some Fault.Crash ->
@@ -235,7 +222,6 @@ let scan ?f path =
           | None -> Error "not a svgic-wal file"
           | Some m ->
               let pos = ref (pos_in ic) in
-              let hdr = Bytes.create 8 in
               let buf = ref (Bytes.create 256) in
               let torn = ref None in
               let stop reason = torn := Some reason in
@@ -243,38 +229,27 @@ let scan ?f path =
               let first = ref 0L and last = ref 0L in
               (try
                  while !torn = None && !pos < size do
-                   if size - !pos < 8 then stop "short frame header"
-                   else begin
-                     really_input ic hdr 0 8;
-                     let len = get_u32 hdr 0 and crc = get_u32 hdr 4 in
-                     if len < 13 || len > 0x0FFFFFFF then
-                       stop "implausible record length"
-                     else if !pos + 8 + len > size then stop "short record body"
-                     else begin
-                       if Bytes.length !buf < len then
-                         buf := Bytes.create (max len (2 * Bytes.length !buf));
-                       really_input ic !buf 0 len;
-                       if Crc32.update_bytes 0 !buf ~pos:0 ~len <> crc then
-                         stop "crc mismatch"
-                       else begin
-                         let seq = get_u64 !buf 0 in
-                         if !last <> 0L && seq <> Int64.add !last 1L then
-                           stop "seqno discontinuity"
-                         else
-                           match decode m !buf len with
-                           | Error e -> stop e
-                           | Ok r ->
-                               if !first = 0L then first := seq;
-                               last := seq;
-                               incr records;
-                               (match r with
-                               | Tick _ -> incr ticks
-                               | Event _ -> incr events);
-                               pos := !pos + 8 + len;
-                               (match f with None -> () | Some f -> f seq r)
-                       end
-                     end
-                   end
+                   match
+                     read_frame ic ~avail:(size - !pos) ~min_len:13
+                       ~max_len:0x0FFFFFFF buf
+                   with
+                   | Error e -> stop e
+                   | Ok len ->
+                       let seq = get_u64 !buf 0 in
+                       if !last <> 0L && seq <> Int64.add !last 1L then
+                         stop "seqno discontinuity"
+                       else (
+                         match decode m !buf len with
+                         | Error e -> stop e
+                         | Ok r ->
+                             if !first = 0L then first := seq;
+                             last := seq;
+                             incr records;
+                             (match r with
+                             | Tick _ -> incr ticks
+                             | Event _ -> incr events);
+                             pos := !pos + 8 + len;
+                             match f with None -> () | Some f -> f seq r)
                  done
                with End_of_file -> stop "truncated record");
               Ok

@@ -16,7 +16,8 @@
 
     {v [len:u32le] [crc:u32le] [body: seqno:u64le | kind:u8 | payload] v}
 
-    where [len] is the body length, [crc] is the CRC-32 of the body,
+    (the {!Svgic_util.Codec} framing, shared with checkpoints), where
+    [len] is the body length, [crc] is the CRC-32 of the body,
     and all floats travel as IEEE-754 bit patterns ([Int64] little
     endian) so replay is bit-identical. Seqnos start at 1 and
     increase by exactly 1 per record. A torn tail — a partial record

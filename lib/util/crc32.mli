@@ -7,8 +7,8 @@
     produces the same value as one pass, and the empty-input checksum
     is [0], so [0] doubles as the initial accumulator.
 
-    Used by {!Svgic.Wal} record framing, {!Svgic.Checkpoint}
-    header/footer guards, and [Serve.fingerprint]. *)
+    Used by {!Codec} frames (WAL records, checkpoint sections) and
+    [Serve.fingerprint]. *)
 
 val update_bytes : int -> bytes -> pos:int -> len:int -> int
 (** [update_bytes crc b ~pos ~len] extends [crc] with [b.[pos..pos+len-1]].

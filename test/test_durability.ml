@@ -352,22 +352,77 @@ let test_fault_checkpoint_write_and_rename () =
       Alcotest.(check int) "bit-identical" fp (Serve.fingerprint r);
       Serve.disable_durability r
 
+(* Randomized AVG rounding draws from per-tick streams derived from
+   the session seed, so no RNG state is checkpointed: an engine
+   recovered mid-run (at any --domains) must keep drawing exactly what
+   the uninterrupted one draws. *)
+let test_avg_rounding_recovers_streams () =
+  let rounding = Svgic.Shard.Avg { repeats = 3; advanced_sampling = false } in
+  let mk ?domains () =
+    let inst =
+      Test_serve.community_instance (Rng.create 31) ~blobs:3 ~blob_size:4 ~m:5
+        ~k:2
+    in
+    Serve.create ~rounding ?domains (Rng.create 32) inst
+  in
+  let live = mk () in
+  let dir = fresh_dir () in
+  Serve.enable_durability live
+    { Serve.dir; fsync = Wal.Off; checkpoint_every = 2; retain = 2 };
+  drive live (Rng.create 33) ~events:4 ~ticks:3;
+  Serve.disable_durability live;
+  drive live (Rng.create 34) ~events:4 ~ticks:3;
+  List.iter
+    (fun domains ->
+      match Serve.recover ~rounding ~domains ~fsync:Wal.Off ~dir () with
+      | Error e -> Alcotest.failf "recover: %s" e
+      | Ok (r, _) ->
+          Serve.disable_durability r;
+          drive r (Rng.create 34) ~events:4 ~ticks:3;
+          Alcotest.(check int)
+            (Printf.sprintf "domains=%d continues bit-identical" domains)
+            (Serve.fingerprint live) (Serve.fingerprint r))
+    [ 1; 2 ];
+  let fresh = mk ~domains:2 () in
+  drive fresh (Rng.create 33) ~events:4 ~ticks:3;
+  drive fresh (Rng.create 34) ~events:4 ~ticks:3;
+  Alcotest.(check int) "uninterrupted run matches across domains"
+    (Serve.fingerprint live) (Serve.fingerprint fresh)
+
+(* The seed is part of the state a fingerprint certifies: AVG-D
+   engines that differ only in it serve the same rows but must not
+   compare equal, since their AVG streams would diverge. *)
+let test_fingerprint_covers_seed () =
+  let mk seed =
+    Serve.create (Rng.create seed)
+      (Test_serve.community_instance (Rng.create 31) ~blobs:3 ~blob_size:4
+         ~m:5 ~k:2)
+  in
+  let a = mk 1 and b = mk 2 in
+  Alcotest.(check bool) "same rows" true
+    (Svgic.Config.assignment (Serve.config a)
+    = Svgic.Config.assignment (Serve.config b));
+  Alcotest.(check bool) "fingerprints differ" true
+    (Serve.fingerprint a <> Serve.fingerprint b)
+
 (* --------------------- audit detect + repair ---------------------- *)
 
-(* Rewrite a checkpoint body through [f], recomputing the CRC footer
-   so only the tampered semantics — not the framing — are wrong. *)
-let retamper path f =
-  let s = read_file path in
-  let lines = String.split_on_char '\n' s in
-  let rec strip_footer acc = function
-    | [ _footer; "" ] -> List.rev acc
-    | x :: tl -> strip_footer (x :: acc) tl
-    | _ -> failwith "no footer"
+(* Rewrite a checkpoint through the API: load it, edit the snapshot,
+   write it back under the same name, so only the tampered semantics
+   — not the framing — are wrong. *)
+let retamper ~dir path f =
+  match Checkpoint.load path with
+  | Error e -> Alcotest.failf "load before tampering: %s" e
+  | Ok snap ->
+      let path' = Checkpoint.write ~dir ~retain:4 (f snap) in
+      Alcotest.(check string) "rewrote the same file" path path'
+
+let contains s needle =
+  let rec find i =
+    i + String.length needle <= String.length s
+    && (String.sub s i (String.length needle) = needle || find (i + 1))
   in
-  let body = List.map f (strip_footer [] lines) in
-  let text = String.concat "\n" body ^ "\n" in
-  write_file path
-    (text ^ Printf.sprintf "end %08x\n" (Crc32.of_string text))
+  find 0
 
 let test_audit_detects_tampered_objective () =
   let t = mk_engine 19 in
@@ -378,16 +433,15 @@ let test_audit_detects_tampered_objective () =
   Serve.disable_durability t;
   let files = Checkpoint.list_files dir in
   let newest, _, _ = List.nth files (List.length files - 1) in
-  (* corrupt the first stored shard objective, CRC kept valid *)
+  (* corrupt the first stored shard objective, CRCs kept valid *)
   let done_ = ref false in
-  retamper newest (fun line ->
-      if (not !done_) && String.length line > 6 && String.sub line 0 6 = "shard "
-      then (
+  retamper ~dir newest (fun snap ->
+      let shards = Array.copy snap.Checkpoint.shards in
+      if Array.length shards > 0 then begin
         done_ := true;
-        match String.split_on_char ' ' line with
-        | "shard" :: _obj :: rest -> String.concat " " ("shard" :: "0x1.8p+5" :: rest)
-        | _ -> line)
-      else line);
+        shards.(0) <- { (shards.(0)) with Checkpoint.s_obj = 0x1.8p+5 }
+      end;
+      { snap with Checkpoint.shards });
   Alcotest.(check bool) "tampered a shard line" true !done_;
   match Serve.recover ~certify:true ~fsync:Wal.Off ~dir () with
   | Error e -> Alcotest.failf "recover: %s" e
@@ -409,17 +463,44 @@ let test_checkpoint_validate_rejects_bad_label () =
     { Serve.dir; fsync = Wal.Off; checkpoint_every = 1; retain = 1 };
   let path = Serve.checkpoint t in
   Serve.disable_durability t;
-  retamper path (fun line ->
-      if String.length line > 6 && String.sub line 0 6 = "label " then
-        match String.split_on_char ' ' line with
-        | "label" :: _first :: rest -> String.concat " " ("label" :: "999" :: rest)
-        | _ -> line
-      else line);
+  retamper ~dir path (fun snap ->
+      let label = Array.copy snap.Checkpoint.label in
+      label.(0) <- 999;
+      { snap with Checkpoint.label });
   match Checkpoint.load path with
   | Ok _ -> Alcotest.fail "out-of-range label accepted"
   | Error e ->
       Alcotest.(check bool) "mentions label" true
-        (String.length e > 0)
+        (String.length e > 0 && contains e "label")
+
+let test_checkpoint_rejects_bad_warm_status () =
+  let t = mk_engine 29 in
+  let dir = fresh_dir () in
+  Serve.enable_durability t
+    { Serve.dir; fsync = Wal.Off; checkpoint_every = 1; retain = 1 };
+  let path = Serve.checkpoint t in
+  Serve.disable_durability t;
+  let found = ref false in
+  retamper ~dir path (fun snap ->
+      let shards =
+        Array.map
+          (fun sh ->
+            match sh.Checkpoint.s_warm with
+            | Some w when (not !found) && Array.length w > 0 ->
+                found := true;
+                let w = Array.copy w in
+                w.(0) <- 3;
+                { sh with Checkpoint.s_warm = Some w }
+            | _ -> sh)
+          snap.Checkpoint.shards
+      in
+      { snap with Checkpoint.shards });
+  Alcotest.(check bool) "some shard holds a warm basis" true !found;
+  match Checkpoint.load path with
+  | Ok _ -> Alcotest.fail "warm status 3 accepted"
+  | Error e ->
+      Alcotest.(check bool) (Printf.sprintf "names the warm status (%s)" e)
+        true (contains e "warm status 3")
 
 let test_serialize_byte_offset_errors () =
   let text = "svgic-instance 1\nn 1 m 2 k 1 lambda 0.5\n0.5 oops\nedges 0\n" in
@@ -590,12 +671,7 @@ let test_kill_matrix () =
       in
       Alcotest.(check int) "fsck exits 0 on recoverable dir" 0 code;
       Alcotest.(check bool) "fsck reports recoverable" true
-        (let needle = "recoverable:" in
-         let rec find i =
-           i + String.length needle <= String.length out
-           && (String.sub out i (String.length needle) = needle || find (i + 1))
-         in
-         find 0);
+        (contains out "recoverable:");
       let code, out =
         run_cli
           [ "recover"; "--dir"; dir; "--events"; trace_file; "--fingerprint" ]
@@ -618,12 +694,26 @@ let test_fsck_unrecoverable () =
   let code, out = run_cli [ "fsck"; dir ] in
   Alcotest.(check int) "nonzero exit" 1 code;
   Alcotest.(check bool) "says unrecoverable" true
-    (let needle = "unrecoverable" in
-     let rec find i =
-       i + String.length needle <= String.length out
-       && (String.sub out i (String.length needle) = needle || find (i + 1))
-     in
-     find 0)
+    (contains out "unrecoverable")
+
+(* A text checkpoint written by an earlier build: refused with its
+   version named, by [load] and by [svgic fsck]. *)
+let test_checkpoint_v1_refused () =
+  let dir = fresh_dir () in
+  let path =
+    Filename.concat dir "ckpt-000000000001-0000000000000001.svgic"
+  in
+  write_file path
+    "svgic-checkpoint 1\nmeta tick 1 seqno 1 events 0 next_ext 2 nshards 1 \
+     cut 0x0p+0 obj 0x0p+0 bound 0x0p+0 upper inf\nend 00000000\n";
+  (match Checkpoint.load path with
+  | Ok _ -> Alcotest.fail "v1 checkpoint loaded"
+  | Error e ->
+      Alcotest.(check bool) (Printf.sprintf "names version 1 (%s)" e) true
+        (contains e "version 1"));
+  let _code, out = run_cli [ "fsck"; dir ] in
+  Alcotest.(check bool) (Printf.sprintf "fsck says CORRUPT (%s)" out) true
+    (contains out "CORRUPT" && contains out "version 1")
 
 let suite =
   [
@@ -644,14 +734,22 @@ let suite =
       test_checkpoint_corrupt_fallback;
     Alcotest.test_case "fault: checkpoint write/rename survive" `Quick
       test_fault_checkpoint_write_and_rename;
+    Alcotest.test_case "avg rounding: recovery keeps derived streams" `Quick
+      test_avg_rounding_recovers_streams;
+    Alcotest.test_case "fingerprint covers the session seed" `Quick
+      test_fingerprint_covers_seed;
     Alcotest.test_case "audit detects and repairs tampering" `Quick
       test_audit_detects_tampered_objective;
     Alcotest.test_case "checkpoint rejects out-of-range label" `Quick
       test_checkpoint_validate_rejects_bad_label;
+    Alcotest.test_case "warm status outside {0,1,2} is rejected" `Quick
+      test_checkpoint_rejects_bad_warm_status;
     Alcotest.test_case "serialize errors carry byte offsets" `Quick
       test_serialize_byte_offset_errors;
     Alcotest.test_case "kill matrix: SIGKILL + recover bit-identical" `Slow
       test_kill_matrix;
     Alcotest.test_case "fsck: unrecoverable directory exits nonzero" `Quick
       test_fsck_unrecoverable;
+    Alcotest.test_case "v1 text checkpoint refused by load and fsck" `Quick
+      test_checkpoint_v1_refused;
   ]

@@ -26,5 +26,6 @@ let () =
       ("datagen", Test_datagen.suite);
       ("serve", Test_serve.suite);
       ("durability", Test_durability.suite);
+      ("fuzz", Test_fuzz.suite);
       ("cli", Test_cli.suite);
     ]
